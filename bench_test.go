@@ -23,7 +23,6 @@ import (
 	"partadvisor/internal/exec"
 	"partadvisor/internal/experiments"
 	"partadvisor/internal/hardware"
-	"partadvisor/internal/nn"
 	"partadvisor/internal/partition"
 	"partadvisor/internal/workload"
 )
@@ -245,18 +244,10 @@ func BenchmarkRunBatchWorkers(b *testing.B) {
 
 // --- Parallelism benches -----------------------------------------------------
 
-// benchTrainOfflineSSB trains the SSB advisor with the paper's 128-64 hidden
-// layers and the given nn worker count, behind the bounded cost cache. With
-// workers=1 every parallel path runs its sequential branch, so the pair of
-// benches below measures the worker-pool speedup directly. The row-block
-// parallelism preserves accumulation order, so the trained networks are
-// bitwise identical across worker counts (see TestCommitteeParallelMatchesSequential
-// in internal/core for the committee-level identity check).
-func benchTrainOfflineSSB(b *testing.B, workers int) {
-	b.Helper()
-	prev := nn.MaxWorkers()
-	nn.SetMaxWorkers(workers)
-	defer nn.SetMaxWorkers(prev)
+// BenchmarkTrainOfflineSSB trains the SSB advisor with the paper's 128-64
+// hidden layers behind the bounded cost cache. The nn kernels run inline;
+// parallelism lives one level up, across committee experts and tenants.
+func BenchmarkTrainOfflineSSB(b *testing.B) {
 	bench := benchmarks.SSB()
 	data := bench.Generate(0.05, 1)
 	cat := exec.BuildCatalog(bench.Schema, data)
@@ -277,14 +268,6 @@ func benchTrainOfflineSSB(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTrainOfflineSSBSequential vs ...Parallel: the tentpole speedup
-// claim. On a ≥4-core machine the parallel variant should be ≥2× faster;
-// on fewer cores the pool is starved and the gap shrinks accordingly.
-func BenchmarkTrainOfflineSSBSequential(b *testing.B) { benchTrainOfflineSSB(b, 1) }
-func BenchmarkTrainOfflineSSBParallel(b *testing.B) {
-	benchTrainOfflineSSB(b, runtime.GOMAXPROCS(0))
 }
 
 // benchCommitteeBuild builds the §5 committee sequentially or with

@@ -3,20 +3,13 @@ package core
 import (
 	"bytes"
 	"testing"
-
-	"partadvisor/internal/nn"
 )
 
 // TestCommitteeParallelMatchesSequential is the determinism guarantee of the
 // parallel committee: with a deterministic cost function and a fixed seed,
 // goroutine-per-expert training must produce bitwise-identical experts to the
-// sequential loop, because every expert owns its networks and rand.Rand and
-// the row-block matmul parallelism preserves accumulation order.
+// sequential loop, because every expert owns its networks and rand.Rand.
 func TestCommitteeParallelMatchesSequential(t *testing.T) {
-	prev := nn.MaxWorkers()
-	nn.SetMaxWorkers(4) // force the parallel matmul paths even on 1 CPU
-	defer nn.SetMaxWorkers(prev)
-
 	build := func(sequential bool) (*Committee, [][]byte) {
 		b, sp, cm := microFixture(t)
 		hp := Test()

@@ -3,8 +3,6 @@ package core
 import (
 	"sync"
 	"testing"
-
-	"partadvisor/internal/nn"
 )
 
 // TestCommitteeTrainingConcurrentWithQueries exercises the thread-safety
@@ -14,10 +12,6 @@ import (
 // the same engine. The engine mutex must keep every operation and counter
 // update coherent.
 func TestCommitteeTrainingConcurrentWithQueries(t *testing.T) {
-	prev := nn.MaxWorkers()
-	nn.SetMaxWorkers(4)
-	defer nn.SetMaxWorkers(prev)
-
 	b, sp, e := onlineFixture(t)
 	hp := Test()
 	hp.Episodes = 30

@@ -92,3 +92,59 @@ func BenchmarkValuesBatch(b *testing.B) {
 		bv.ValuesBatch(states, valids)
 	}
 }
+
+// BenchmarkTrainStepMultiHeadTPCDSShape: one TrainStep at the exact shape
+// the TPC-DS repro run trains (211 → 128 → 64 → 195, batch 32). States
+// mirror State.Encode: 24 one-hot table blocks and a few edge bits over 143
+// slots, then a 68-query frequency mix with some zero entries. Every
+// non-terminal transition lists ~|A| valid next actions. Steady state must
+// report 0 allocs/op.
+func BenchmarkTrainStepMultiHeadTPCDSShape(b *testing.B) {
+	const layoutLen, mixLen, numActions, block = 143, 68, 195, 6
+	rng := rand.New(rand.NewSource(1))
+	cfg := DefaultConfig()
+	q := NewMultiHeadQ(layoutLen+mixLen, cfg.Hidden, numActions, cfg.LearningRate, rng)
+	a, err := NewAgent(q, cfg, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mkState := func() []float64 {
+		s := make([]float64, layoutLen+mixLen)
+		for off := 0; off+block <= layoutLen-5; off += block {
+			s[off+rng.Intn(block)] = 1
+		}
+		for e := layoutLen - 5; e < layoutLen; e++ {
+			if rng.Intn(3) == 0 {
+				s[e] = 1
+			}
+		}
+		for i := layoutLen; i < len(s); i++ {
+			if rng.Intn(10) != 0 {
+				s[i] = rng.Float64()
+			}
+		}
+		return s
+	}
+	valid := make([]int, 0, numActions)
+	for i := 0; i < numActions; i++ {
+		if i%16 != 0 {
+			valid = append(valid, i)
+		}
+	}
+	for i := 0; i < 8*cfg.BatchSize; i++ {
+		tr := Transition{State: mkState(), Action: rng.Intn(numActions), Reward: rng.NormFloat64()}
+		if i%28 != 27 { // one terminal step per 28-step episode
+			tr.Next = mkState()
+			tr.NextValid = valid
+		}
+		a.Observe(tr)
+	}
+	a.TrainStep() // allocate the pooled scratch outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, trained := a.TrainStep(); !trained {
+			b.Fatal("TrainStep found no batch")
+		}
+	}
+}

@@ -65,128 +65,185 @@ func (m *Matrix) Zero() {
 }
 
 // matMulKTile is the k-dimension tile of the blocked matmul below: one tile
-// of b (matMulKTile rows × b.Cols) is streamed against every output row in
-// the block before moving to the next tile, so for multi-row batches the
-// tile stays in L1/L2 across rows instead of b being re-fetched per row.
-// 64 rows × 512 columns × 8 bytes caps a tile at 256 KB even for the widest
-// layer in the repo; typical hidden layers (≤128 cols) keep it under 64 KB.
+// of b (matMulKTile rows × b.Cols) is streamed against every output row
+// before moving to the next tile, so for multi-row batches the tile stays in
+// L1/L2 across rows instead of b being re-fetched per row. 64 rows × 512
+// columns × 8 bytes caps a tile at 256 KB even for the widest layer in the
+// repo; typical hidden layers (≤128 cols) keep it under 64 KB.
 const matMulKTile = 64
 
-// matMulRows computes dst rows [lo, hi) of a × b, cache-blocked on the k
-// (inner) dimension. Within each output element the products are still
-// accumulated in ascending-k order into a single accumulator — tiles are
-// visited in ascending order and each tile scans k ascending — so the
-// result is bitwise identical to the untiled ikj loop (and to the k-at-a-
-// time sequential definition). Each output row depends only on the matching
-// input row, so disjoint row ranges can run on different workers.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	if hi-lo == 1 {
-		// Single row (greedy inference): no cross-row reuse to win, skip
-		// the tile loop overhead.
-		matMulRowTile(dst, a, b, lo, 0, a.Cols)
-		return
-	}
-	for i := lo; i < hi; i++ {
-		dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range dr {
-			dr[j] = 0
-		}
-	}
+// Bit identity. Every kernel below gives each output element one
+// accumulator that starts at +0 and adds its products in ascending order of
+// the summed index, exactly like the naive triple loop. The only freedom the
+// kernels take is to skip a product whose factor is ±0: a sum that starts
+// at +0 can never become -0 under round-to-nearest, and x + (±0) == x for
+// every x other than -0, so skipping such a product leaves every bit of the
+// result unchanged (for finite operands). Blocking changes which elements
+// are live in registers, never the order of any one element's sum.
+
+// matMul computes dst = a × b, cache-blocked on the k (inner) dimension.
+// Tiles are visited in ascending order and each tile applies its k's in
+// ascending order, so every element sums in ascending k.
+func matMul(dst, a, b *Matrix) {
+	dst.Zero()
+	var ks [matMulKTile]int
+	var as [matMulKTile]float64
 	for kb := 0; kb < a.Cols; kb += matMulKTile {
-		kEnd := kb + matMulKTile
-		if kEnd > a.Cols {
-			kEnd = a.Cols
-		}
-		for i := lo; i < hi; i++ {
-			accMulRowRange(dst, a, b, i, kb, kEnd)
+		kEnd := min(kb+matMulKTile, a.Cols)
+		for i := 0; i < a.Rows; i++ {
+			// Gather the tile's nonzero k's: one-hot inputs and ReLU
+			// activations are mostly zero.
+			n := 0
+			for k, av := range a.Data[i*a.Cols+kb : i*a.Cols+kEnd] {
+				ks[n], as[n] = kb+k, av
+				if av != 0 {
+					n++
+				}
+			}
+			accRows(dst.Data[i*dst.Cols:(i+1)*dst.Cols], b, ks[:n], as[:n])
 		}
 	}
 }
 
-// matMulRowTile computes one full output row from scratch over k ∈ [k0, k1).
-func matMulRowTile(dst, a, b *Matrix, i, k0, k1 int) {
-	dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-	for j := range dr {
-		dr[j] = 0
-	}
-	accMulRowRange(dst, a, b, i, k0, k1)
-}
-
-// accMulRowRange accumulates a[i][k]·b[k] into dst row i for k ∈ [k0, k1),
-// in ascending-k order.
-func accMulRowRange(dst, a, b *Matrix, i, k0, k1 int) {
-	ar := a.Data[i*a.Cols+k0 : i*a.Cols+k1]
-	dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-	for kk, av := range ar {
-		if av == 0 {
-			continue // one-hot inputs are mostly zero
+// accRows adds coef[t]·(row rows[t] of b) into dr for t ascending. It
+// applies four rows per pass, so each dr element is loaded and stored once
+// per four products, and re-slices the rows to len(dr) so the inner loop
+// carries no bounds checks.
+func accRows(dr []float64, b *Matrix, rows []int, coef []float64) {
+	coef = coef[:len(rows)]
+	cols := b.Cols
+	t := 0
+	for ; t+4 <= len(rows); t += 4 {
+		a0, a1, a2, a3 := coef[t], coef[t+1], coef[t+2], coef[t+3]
+		b0 := b.Data[rows[t]*cols:][:len(dr)]
+		b1 := b.Data[rows[t+1]*cols:][:len(dr)]
+		b2 := b.Data[rows[t+2]*cols:][:len(dr)]
+		b3 := b.Data[rows[t+3]*cols:][:len(dr)]
+		for j := range dr {
+			d := dr[j]
+			d += a0 * b0[j]
+			d += a1 * b1[j]
+			d += a2 * b2[j]
+			d += a3 * b3[j]
+			dr[j] = d
 		}
-		k := k0 + kk
-		br := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for j, bv := range br {
-			dr[j] += av * bv
+	}
+	for ; t < len(rows); t++ {
+		av := coef[t]
+		br := b.Data[rows[t]*cols:][:len(dr)]
+		for j := range dr {
+			dr[j] += av * br[j]
 		}
 	}
 }
 
 // MatMul computes dst = a × b. dst must be pre-shaped (a.Rows × b.Cols) and
-// distinct from a and b. Large batches are split into row blocks across the
-// shared worker pool; results are bitwise identical to the sequential path.
+// distinct from a and b.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch: (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelFor(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		matMulRows(dst, a, b, lo, hi)
-	})
+	matMul(dst, a, b)
 }
 
-// MatMulATB computes dst = aᵀ × b (used for weight gradients). Row blocks of
-// dst (columns of a) are independent, so the pool splits on them; for each
-// output element the accumulation still runs over a's rows in ascending
-// order, keeping parallel results bitwise identical to sequential ones.
+// rowIndex lists, for every row of a matrix, the ascending column indices
+// of its nonzero entries. Backward builds it once per step for the delta,
+// and both transposed products loop over it, so the masked output layer
+// (one nonzero per row) costs O(rows·hidden) instead of O(rows·hidden·|A|).
+type rowIndex struct {
+	cols int
+	n    []int   // nonzero count per row
+	idx  []int32 // row i's list is idx[i*cols : i*cols+n[i]]
+}
+
+// build indexes m, reusing the storage when the shape is unchanged.
+func (x *rowIndex) build(m *Matrix) {
+	if x.cols != m.Cols || len(x.n) != m.Rows {
+		x.cols = m.Cols
+		x.n = make([]int, m.Rows)
+		x.idx = make([]int32, m.Rows*m.Cols)
+	}
+	for i := range x.n {
+		ix := x.idx[i*m.Cols : (i+1)*m.Cols]
+		c := 0
+		for j, v := range m.Data[i*m.Cols : (i+1)*m.Cols] {
+			ix[c] = int32(j)
+			if v != 0 {
+				c++
+			}
+		}
+		x.n[i] = c
+	}
+}
+
+// row returns row i's nonzero columns.
+func (x *rowIndex) row(i int) []int32 { return x.idx[i*x.cols : i*x.cols+x.n[i]] }
+
+// nnz returns the total nonzero count.
+func (x *rowIndex) nnz() int {
+	s := 0
+	for _, c := range x.n {
+		s += c
+	}
+	return s
+}
+
+// MatMulATB computes dst = aᵀ × b (used for weight gradients).
 func MatMulATB(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MatMulATB shape mismatch: (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelFor(a.Cols, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j := range dr {
-				dr[j] = 0
-			}
-		}
-		for r := 0; r < a.Rows; r++ {
-			ar := a.Data[r*a.Cols : (r+1)*a.Cols]
-			br := b.Data[r*b.Cols : (r+1)*b.Cols]
-			for i := lo; i < hi; i++ {
-				av := ar[i]
-				if av == 0 {
-					continue
-				}
-				dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
-			}
-		}
-	})
+	var bnz rowIndex
+	bnz.build(b)
+	matMulATB(dst, a, b, &bnz)
 }
 
-// matMulABTRows computes dst rows [lo, hi) of a × bᵀ.
-func matMulABTRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a.Data[i*a.Cols : (i+1)*a.Cols]
-		dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			br := b.Data[j*b.Cols : (j+1)*b.Cols]
-			s := 0.0
-			for k, av := range ar {
-				s += av * br[k]
+// matMulATB computes dst = aᵀ × b given b's row index; every dst element
+// sums over a's rows in ascending order. A sparse b (the masked output
+// layer's delta) is scattered row by row along its index lists. A dense-ish
+// b (ReLU-masked hidden deltas) runs the blocked form: per dst row k, the
+// rows r with a[r][k] ≠ 0 are gathered and applied four at a time over the
+// full dst row, whose zero products are exact no-ops. Both forms run in
+// every TPC-DS step; either one alone makes the step ~25% slower.
+func matMulATB(dst, a, b *Matrix, bnz *rowIndex) {
+	if 4*bnz.nnz() <= len(b.Data) {
+		dst.Zero()
+		for r := 0; r < a.Rows; r++ {
+			js := bnz.row(r)
+			if len(js) == 0 {
+				continue
 			}
-			dr[j] = s
+			br := b.Data[r*b.Cols : (r+1)*b.Cols]
+			for k, av := range a.Data[r*a.Cols : (r+1)*a.Cols] {
+				dr := dst.Data[k*dst.Cols : (k+1)*dst.Cols]
+				for _, j := range js {
+					dr[j] += av * br[j]
+				}
+			}
+		}
+		return
+	}
+	// Rows are gathered in chunks of matMulKTile so the gather buffers
+	// live on the stack.
+	var rs [matMulKTile]int
+	var as [matMulKTile]float64
+	for k := 0; k < a.Cols; k++ {
+		dr := dst.Data[k*dst.Cols : (k+1)*dst.Cols]
+		for j := range dr {
+			dr[j] = 0
+		}
+		for rb := 0; rb < a.Rows; rb += matMulKTile {
+			n := 0
+			for r := rb; r < min(rb+matMulKTile, a.Rows); r++ {
+				av := a.Data[r*a.Cols+k]
+				rs[n], as[n] = r, av
+				if av != 0 {
+					n++
+				}
+			}
+			accRows(dr, b, rs[:n], as[:n])
 		}
 	}
 }
@@ -197,9 +254,45 @@ func MatMulABT(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: MatMulABT shape mismatch: (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelFor(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		matMulABTRows(dst, a, b, lo, hi)
-	})
+	var anz rowIndex
+	anz.build(a)
+	matMulABT(dst, a, b, &anz)
+}
+
+// matMulABT computes dst = a × bᵀ given a's row index: dst[i][k] is the dot
+// product of a's row i and b's row k over a's nonzero columns only, in
+// ascending column order. Four dst elements (four b rows) share each pass
+// over the index list.
+func matMulABT(dst, a, b *Matrix, anz *rowIndex) {
+	for i := 0; i < a.Rows; i++ {
+		js := anz.row(i)
+		ar := a.Data[i*a.Cols : (i+1)*a.Cols]
+		dr := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		k := 0
+		for ; k+4 <= b.Rows; k += 4 {
+			b0 := b.Data[k*b.Cols:][:len(ar)]
+			b1 := b.Data[(k+1)*b.Cols:][:len(ar)]
+			b2 := b.Data[(k+2)*b.Cols:][:len(ar)]
+			b3 := b.Data[(k+3)*b.Cols:][:len(ar)]
+			var s0, s1, s2, s3 float64
+			for _, j := range js {
+				av := ar[j]
+				s0 += av * b0[j]
+				s1 += av * b1[j]
+				s2 += av * b2[j]
+				s3 += av * b3[j]
+			}
+			dr[k], dr[k+1], dr[k+2], dr[k+3] = s0, s1, s2, s3
+		}
+		for ; k < b.Rows; k++ {
+			br := b.Data[k*b.Cols:][:len(ar)]
+			s := 0.0
+			for _, j := range js {
+				s += ar[j] * br[j]
+			}
+			dr[k] = s
+		}
+	}
 }
 
 // XavierInit fills the matrix with Glorot-uniform weights for a layer with

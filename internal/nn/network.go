@@ -33,11 +33,13 @@ type Dense struct {
 }
 
 // denseScratch is the cached forward/backward state for one batch size.
-// delta and gradIn are allocated lazily on the first Backward of that size,
-// so inference-only sizes (batch 1 greedy passes) never pay for them.
+// delta, gradIn and the delta row index are allocated lazily on the first
+// Backward of that size, so inference-only sizes (batch 1 greedy passes)
+// never pay for them.
 type denseScratch struct {
 	preAct, out   *Matrix
 	delta, gradIn *Matrix
+	deltaNZ       rowIndex
 }
 
 // NewDense builds a layer with Xavier-initialized weights.
@@ -54,8 +56,7 @@ func NewDense(inDim, outDim int, act Activation, rng *rand.Rand) *Dense {
 }
 
 // Forward computes the layer output for a batch, caching activations for
-// Backward. Row blocks (matmul, bias, activation fused per block) run on the
-// shared worker pool for large batches.
+// Backward.
 func (d *Dense) Forward(in *Matrix) *Matrix {
 	if d.scratch == nil {
 		d.scratch = make(map[int]*denseScratch)
@@ -66,37 +67,33 @@ func (d *Dense) Forward(in *Matrix) *Matrix {
 		d.scratch[in.Rows] = sc
 	}
 	d.in, d.preAct, d.out = in, sc.preAct, sc.out
+	matMul(d.preAct, in, d.W)
+	// Fused bias + activation: one pass over each row adds the bias (after
+	// the matmul accumulation, preserving the summation order) and writes
+	// the activated output.
 	cols := d.W.Cols
-	bias := d.B.Data
-	relu := d.Act == ReLU
-	parallelFor(in.Rows, in.Rows*in.Cols*cols, func(lo, hi int) {
-		matMulRows(d.preAct, in, d.W, lo, hi)
-		// Fused bias + activation: one pass over each row adds the bias
-		// (after the matmul accumulation, preserving the summation order)
-		// and writes the activated output, instead of separate bias and
-		// activation sweeps re-reading the row.
-		for i := lo; i < hi; i++ {
-			row := d.preAct.Data[i*cols : (i+1)*cols]
-			outRow := d.out.Data[i*cols : (i+1)*cols]
-			if relu {
-				for j, v := range row {
-					v += bias[j]
-					row[j] = v
-					if v > 0 {
-						outRow[j] = v
-					} else {
-						outRow[j] = 0
-					}
-				}
-			} else {
-				for j, v := range row {
-					v += bias[j]
-					row[j] = v
+	for i := 0; i < in.Rows; i++ {
+		row := d.preAct.Data[i*cols : (i+1)*cols]
+		outRow := d.out.Data[i*cols:][:len(row)]
+		bias := d.B.Data[:len(row)]
+		if d.Act == ReLU {
+			for j, v := range row {
+				v += bias[j]
+				row[j] = v
+				if v > 0 {
 					outRow[j] = v
+				} else {
+					outRow[j] = 0
 				}
 			}
+		} else {
+			for j, v := range row {
+				v += bias[j]
+				row[j] = v
+				outRow[j] = v
+			}
 		}
-	})
+	}
 	return d.out
 }
 
@@ -105,7 +102,11 @@ func (d *Dense) Forward(in *Matrix) *Matrix {
 // matrices live in the per-batch-size scratch (like the forward buffers),
 // so steady-state training performs no per-step allocations; the returned
 // matrix is valid until the next Backward of the same batch size.
-func (d *Dense) Backward(gradOut *Matrix) *Matrix {
+func (d *Dense) Backward(gradOut *Matrix) *Matrix { return d.backward(gradOut, true) }
+
+// backward is Backward with dL/d(in) optional: the input layer's is never
+// read, and skipping it saves a batch×in×out product per step.
+func (d *Dense) backward(gradOut *Matrix, wantGradIn bool) *Matrix {
 	sc := d.scratch[gradOut.Rows]
 	if sc == nil { // Backward without a matching Forward: tests only
 		sc = &denseScratch{preAct: NewMatrix(gradOut.Rows, d.W.Cols), out: NewMatrix(gradOut.Rows, d.W.Cols)}
@@ -115,22 +116,19 @@ func (d *Dense) Backward(gradOut *Matrix) *Matrix {
 		sc.delta = NewMatrix(gradOut.Rows, gradOut.Cols)
 		sc.gradIn = NewMatrix(gradOut.Rows, d.W.Rows)
 	}
-	// Apply activation derivative on a copy; rows are independent, so the
-	// copy+mask and the delta backpropagation split across the pool.
+	// Apply the activation derivative on a copy, then index the delta's
+	// nonzeros once for both transposed products.
 	delta := sc.delta
-	gradIn := sc.gradIn
-	parallelFor(delta.Rows, delta.Rows*delta.Cols*(d.W.Rows+1), func(lo, hi int) {
-		copy(delta.Data[lo*delta.Cols:hi*delta.Cols], gradOut.Data[lo*delta.Cols:hi*delta.Cols])
-		if d.Act == ReLU {
-			for i := lo * delta.Cols; i < hi*delta.Cols; i++ {
-				if d.preAct.Data[i] <= 0 {
-					delta.Data[i] = 0
-				}
+	copy(delta.Data, gradOut.Data)
+	if d.Act == ReLU {
+		for i, p := range d.preAct.Data[:len(delta.Data)] {
+			if p <= 0 {
+				delta.Data[i] = 0
 			}
 		}
-		matMulABTRows(gradIn, delta, d.W, lo, hi)
-	})
-	MatMulATB(d.gradW, d.in, delta)
+	}
+	sc.deltaNZ.build(delta)
+	matMulATB(d.gradW, d.in, delta, &sc.deltaNZ)
 	d.gradB.Zero()
 	for i := 0; i < delta.Rows; i++ {
 		row := delta.Row(i)
@@ -138,13 +136,17 @@ func (d *Dense) Backward(gradOut *Matrix) *Matrix {
 			d.gradB.Data[j] += v
 		}
 	}
-	return gradIn
+	if !wantGradIn {
+		return nil
+	}
+	matMulABT(sc.gradIn, delta, d.W, &sc.deltaNZ)
+	return sc.gradIn
 }
 
 // Network is a feed-forward stack of dense layers. A Network (like its
 // layers) keeps per-pass scratch state, so a single instance must not be
 // used from multiple goroutines concurrently; the parallel committee gives
-// every expert its own networks and shares only the stateless worker pool.
+// every expert its own networks.
 type Network struct {
 	Layers []*Dense
 
@@ -235,11 +237,11 @@ func (n *Network) PredictBatch(rows [][]float64) [][]float64 {
 }
 
 // Backward backpropagates dL/d(out) through all layers, leaving gradients in
-// each layer.
+// each layer. The input layer's dL/d(in) is not computed.
 func (n *Network) Backward(gradOut *Matrix) {
 	g := gradOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		g = n.Layers[i].Backward(g)
+		g = n.Layers[i].backward(g, i > 0)
 	}
 }
 
@@ -302,14 +304,16 @@ func (n *Network) SoftUpdateFrom(src *Network, tau float64) {
 	if len(n.Layers) != len(src.Layers) {
 		panic("nn: SoftUpdateFrom layer count mismatch")
 	}
+	keep := 1 - tau
+	blend := func(dst, src []float64) {
+		src = src[:len(dst)]
+		for i, v := range dst {
+			dst[i] = keep*v + tau*src[i]
+		}
+	}
 	for li, l := range n.Layers {
-		s := src.Layers[li]
-		for i := range l.W.Data {
-			l.W.Data[i] = (1-tau)*l.W.Data[i] + tau*s.W.Data[i]
-		}
-		for i := range l.B.Data {
-			l.B.Data[i] = (1-tau)*l.B.Data[i] + tau*s.B.Data[i]
-		}
+		blend(l.W.Data, src.Layers[li].W.Data)
+		blend(l.B.Data, src.Layers[li].B.Data)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,48 +61,153 @@ func TestMatMul(t *testing.T) {
 	}
 }
 
+// Row patterns of the kernel tests: the shapes of data the training loop
+// feeds the kernels (dense weights, one-hot state blocks, ReLU-masked
+// activations and deltas, fully masked rows).
+const (
+	rowDense = iota
+	rowOneHot
+	rowReLU
+	rowZero
+	numRowKinds
+)
+
+// fillRow writes one row of the given kind. Magnitudes span 2^±10 so that
+// any reordering of a sum shows up in the low bits.
+func fillRow(row []float64, kind int, rng *rand.Rand) {
+	for j := range row {
+		row[j] = 0
+	}
+	val := func() float64 { return math.Ldexp(rng.NormFloat64(), rng.Intn(21)-10) }
+	switch kind {
+	case rowDense:
+		for j := range row {
+			row[j] = val()
+		}
+	case rowOneHot:
+		row[rng.Intn(len(row))] = 1
+	case rowReLU:
+		for j := range row {
+			if v := val(); v > 0 {
+				row[j] = v
+			}
+		}
+	}
+}
+
+// patternMat builds a rows×cols matrix whose row kinds follow kinds
+// (cycled); an empty kinds list means dense.
+func patternMat(rows, cols int, kinds []int, rng *rand.Rand) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		kind := rowDense
+		if len(kinds) > 0 {
+			kind = kinds[i%len(kinds)]
+		}
+		fillRow(m.Row(i), kind, rng)
+	}
+	return m
+}
+
+// naiveMul is the reference every kernel must match bit for bit: element
+// (i, j) is one accumulator over k = 0, 1, 2, … of at(i, k)·bt(k, j),
+// zero products included.
+func naiveMul(rows, cols, inner int, at, bt func(i, k int) float64) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			s := 0.0
+			for k := 0; k < inner; k++ {
+				s += at(i, k) * bt(k, j)
+			}
+			m.Set(i, j, s)
+		}
+	}
+	return m
+}
+
+func requireBitwise(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %v, naive reference %v", what, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// kernelKinds lists the row-pattern mixes the kernel tests cross: each pure
+// kind, then all kinds interleaved.
+var kernelKinds = [][]int{{rowDense}, {rowOneHot}, {rowReLU}, {rowZero}, {rowDense, rowOneHot, rowReLU, rowZero}}
+
+// kernelInner lists inner widths crossing the 4-term unroll and the 64-wide
+// tile, up to the TPC-DS state width.
+var kernelInner = []int{1, 3, 4, 5, 63, 64, 65, 211}
+
 func TestMatMulVariantsAgree(t *testing.T) {
-	// Property: MatMulATB(dst, a, b) == aᵀ·b and MatMulABT == a·bᵀ,
-	// verified against explicit transposition through MatMul.
+	// MatMul, MatMulATB and MatMulABT must equal the naive single-
+	// accumulator ascending-k loop exactly (==, not within a tolerance):
+	// the kernels may only skip zero products, never reorder a sum.
 	rng := rand.New(rand.NewSource(1))
-	randMat := func(r, c int) *Matrix {
-		m := NewMatrix(r, c)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		return m
-	}
-	transpose := func(m *Matrix) *Matrix {
-		tm := NewMatrix(m.Cols, m.Rows)
-		for i := 0; i < m.Rows; i++ {
-			for j := 0; j < m.Cols; j++ {
-				tm.Set(j, i, m.At(i, j))
+	for _, k := range kernelInner {
+		for _, rows := range []int{1, 7, 66} {
+			for _, cols := range []int{1, 5, 64} {
+				for ki, kinds := range kernelKinds {
+					name := fmt.Sprintf("k=%d rows=%d cols=%d kinds=%d", k, rows, cols, ki)
+
+					a := patternMat(rows, k, kinds, rng)
+					w := patternMat(k, cols, nil, rng)
+					got := NewMatrix(rows, cols)
+					MatMul(got, a, w)
+					requireBitwise(t, "MatMul "+name, got, naiveMul(rows, cols, k, a.At, w.At))
+
+					// aᵀ·b sums over the batch rows; both operands carry
+					// the pattern, as activations and deltas do.
+					d := patternMat(rows, cols, kinds, rng)
+					gotATB := NewMatrix(k, cols)
+					MatMulATB(gotATB, a, d)
+					wantATB := naiveMul(k, cols, rows, func(i, r int) float64 { return a.At(r, i) }, d.At)
+					requireBitwise(t, "MatMulATB "+name, gotATB, wantATB)
+
+					// a·bᵀ with a patterned delta and dense weights.
+					wt := patternMat(cols, k, nil, rng)
+					gotABT := NewMatrix(rows, cols)
+					MatMulABT(gotABT, a, wt)
+					wantABT := naiveMul(rows, cols, k, a.At, func(kk, j int) float64 { return wt.At(j, kk) })
+					requireBitwise(t, "MatMulABT "+name, gotABT, wantABT)
+				}
 			}
 		}
-		return tm
 	}
-	for trial := 0; trial < 20; trial++ {
-		r, k, c := 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(5)
-		a := randMat(r, k)
-		b := randMat(r, c)
-		got := NewMatrix(k, c)
-		MatMulATB(got, a, b)
-		want := NewMatrix(k, c)
-		MatMul(want, transpose(a), b)
-		for i := range got.Data {
-			if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
-				t.Fatalf("MatMulATB mismatch at %d", i)
-			}
-		}
-		a2 := randMat(r, k)
-		b2 := randMat(c, k)
-		got2 := NewMatrix(r, c)
-		MatMulABT(got2, a2, b2)
-		want2 := NewMatrix(r, c)
-		MatMul(want2, a2, transpose(b2))
-		for i := range got2.Data {
-			if math.Abs(got2.Data[i]-want2.Data[i]) > 1e-12 {
-				t.Fatalf("MatMulABT mismatch at %d", i)
+}
+
+func TestDenseBackwardMatchesNaive(t *testing.T) {
+	// Dense.Backward's weight, bias and input gradients must equal the
+	// naive products of the activation-masked delta exactly.
+	rng := rand.New(rand.NewSource(2))
+	for _, act := range []Activation{ReLU, Linear} {
+		for _, k := range kernelInner {
+			for ki, kinds := range kernelKinds {
+				const rows, cols = 33, 19
+				name := fmt.Sprintf("act=%d k=%d kinds=%d", act, k, ki)
+				d := NewDense(k, cols, act, rng)
+				in := patternMat(rows, k, kinds, rng)
+				d.Forward(in)
+				gradOut := patternMat(rows, cols, kinds, rng)
+				gradIn := d.Backward(gradOut)
+
+				delta := gradOut.Clone()
+				for i := range delta.Data {
+					if act == ReLU && d.preAct.Data[i] <= 0 {
+						delta.Data[i] = 0
+					}
+				}
+				wantW := naiveMul(k, cols, rows, func(i, r int) float64 { return in.At(r, i) }, delta.At)
+				requireBitwise(t, "gradW "+name, d.gradW, wantW)
+				ones := func(int, int) float64 { return 1 }
+				wantB := naiveMul(1, cols, rows, ones, delta.At)
+				requireBitwise(t, "gradB "+name, d.gradB, wantB)
+				wantIn := naiveMul(rows, k, cols, delta.At, func(j, kk int) float64 { return d.W.At(kk, j) })
+				requireBitwise(t, "gradIn "+name, gradIn, wantIn)
 			}
 		}
 	}

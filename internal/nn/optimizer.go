@@ -63,17 +63,22 @@ func (o *Adam) Step(n *Network) {
 	o.t++
 	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	for li, l := range n.Layers {
-		update := func(param, grad, m, v []float64) {
-			for i := range param {
-				g := grad[i]
-				m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-				v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-				mHat := m[i] / c1
-				vHat := v[i] / c2
-				param[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Epsilon)
-			}
+	b1, b2 := o.Beta1, o.Beta2
+	ob1, ob2 := 1-b1, 1-b2
+	lr, eps := o.LR, o.Epsilon
+	update := func(param, grad, m, v []float64) {
+		grad, m, v = grad[:len(param)], m[:len(param)], v[:len(param)]
+		for i := range param {
+			g := grad[i]
+			mi := b1*m[i] + ob1*g
+			vi := b2*v[i] + ob2*g*g
+			m[i], v[i] = mi, vi
+			mHat := mi / c1
+			vHat := vi / c2
+			param[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 		}
+	}
+	for li, l := range n.Layers {
 		update(l.W.Data, l.gradW.Data, o.mW[li].Data, o.vW[li].Data)
 		update(l.B.Data, l.gradB.Data, o.mB[li].Data, o.vB[li].Data)
 	}

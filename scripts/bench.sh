@@ -38,7 +38,9 @@ go test -run '^$' -bench 'HashAssign|SplitByHash|SplitRoundRobin|ColLookup' \
 # NN kernels: tiled matmul, fused forward, pooled train/predict batches.
 go test -run '^$' -bench 'MatMul|Forward|PredictBatch|NetworkTrainBatch' \
   -benchmem -benchtime "$benchtime" ./internal/nn/ | tee -a "$tmp"
-# DQN step: TrainStep B/op is the pooled-scratch acceptance number.
+# DQN step: TrainStep B/op is the pooled-scratch acceptance number;
+# TrainStepMultiHeadTPCDSShape is one update at the TPC-DS repro shape
+# (211 -> 128 -> 64 -> 195, batch 32) and must stay at 0 allocs/op.
 go test -run '^$' -bench 'TrainStep|ValuesBatch' \
   -benchmem -benchtime "$benchtime" ./internal/dqn/ | tee -a "$tmp"
 # Offline training: serial vs prefetched wall-clock and the prefetch-worker
