@@ -87,7 +87,7 @@ func (m *Model) WorkloadCost(st *partition.State, wl *workload.Workload, freq wo
 		if i >= len(freq) || freq[i] == 0 {
 			continue
 		}
-		total += freq[i] * q.Weight * m.QueryCost(st, q.Graph)
+		total += float64(freq[i] * q.Weight * m.QueryCost(st, q.Graph))
 	}
 	return total
 }

@@ -50,7 +50,7 @@ func (nm *NoisyModel) WorkloadCost(st *partition.State, wl *workload.Workload, f
 		if i >= len(freq) || freq[i] == 0 {
 			continue
 		}
-		total += freq[i] * q.Weight * nm.QueryCost(st, q.Graph)
+		total += float64(freq[i] * q.Weight * nm.QueryCost(st, q.Graph))
 	}
 	return total
 }
@@ -82,7 +82,7 @@ func gaussHash(parts ...interface{}) float64 {
 	sum := 0.0
 	for i := 0; i < 12; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
-		sum += float64(x>>11) / float64(1<<53)
+		sum += float64(float64(x>>11) / float64(1<<53))
 	}
 	return sum - 6
 }

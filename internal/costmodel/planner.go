@@ -26,8 +26,8 @@ func (q *qctx) joinRels(r1, r2 *rel, m1, m2 uint64, classes []int) *rel {
 		width: q.subsetWidth(outMask),
 		props: make(map[int]float64),
 	}
-	bytes1 := r1.rows * r1.width
-	bytes2 := r2.rows * r2.width
+	bytes1 := float64(r1.rows * r1.width)
+	bytes2 := float64(r2.rows * r2.width)
 	// Moving tuples costs wire time plus per-tuple (de)serialization CPU —
 	// distributed engines rarely shuffle at wire speed. Serialization is
 	// cheaper than hash-join processing (serializationSpeedup x).

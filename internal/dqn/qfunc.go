@@ -150,7 +150,7 @@ func (q *MultiHeadQ) Train(batch []Transition, gamma float64) float64 {
 						bestA = a
 					}
 				}
-				y += gamma * nextTarget[i*cols+bestA]
+				y += float64(gamma * nextTarget[i*cols+bestA])
 			} else {
 				best := math.Inf(-1)
 				for _, a := range tr.NextValid {
@@ -158,7 +158,7 @@ func (q *MultiHeadQ) Train(batch []Transition, gamma float64) float64 {
 						best = v
 					}
 				}
-				y += gamma * best
+				y += float64(gamma * best)
 			}
 		}
 		q.batchTarget.Set(i, tr.Action, y)
@@ -338,7 +338,7 @@ func (q *ScalarQ) Train(batch []Transition, gamma float64) float64 {
 					best = v
 				}
 			}
-			y += gamma * best
+			y += float64(gamma * best)
 		}
 		q.trainTarget.Set(i, 0, y)
 	}

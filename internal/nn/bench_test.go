@@ -103,3 +103,56 @@ func BenchmarkNetworkTrainBatch(b *testing.B) {
 		net.TrainBatch(opt, in, target, mask)
 	}
 }
+
+// tpcdsGradNet is the TPC-DS Q-network (211 → 128 → 64 → 195, ~48k
+// parameters) with dense random gradients in every layer.
+func tpcdsGradNet() *Network {
+	net, rng := benchNet(tpcdsDims)
+	for _, l := range net.Layers {
+		for i := range l.gradW.Data {
+			l.gradW.Data[i] = rng.NormFloat64() * 1e-3
+		}
+		for i := range l.gradB.Data {
+			l.gradB.Data[i] = rng.NormFloat64() * 1e-3
+		}
+	}
+	return net
+}
+
+// BenchmarkAdamStep: one Adam update of every TPC-DS parameter, per kernel
+// set the host has.
+func BenchmarkAdamStep(b *testing.B) {
+	saved := kern
+	defer func() { kern = saved }()
+	for _, ks := range hostKernels {
+		kern = ks
+		b.Run(ks.name, func(b *testing.B) {
+			net, opt := tpcdsGradNet(), NewAdam(5e-4)
+			opt.Step(net) // allocates the moment buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt.Step(net)
+			}
+		})
+	}
+}
+
+// BenchmarkSoftUpdate: one τ = 1e-3 target-network blend of every TPC-DS
+// parameter, per kernel set the host has.
+func BenchmarkSoftUpdate(b *testing.B) {
+	saved := kern
+	defer func() { kern = saved }()
+	for _, ks := range hostKernels {
+		kern = ks
+		b.Run(ks.name, func(b *testing.B) {
+			online, _ := benchNet(tpcdsDims)
+			target := online.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				target.SoftUpdateFrom(online, 1e-3)
+			}
+		})
+	}
+}

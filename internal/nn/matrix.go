@@ -79,7 +79,9 @@ const matMulKTile = 64
 // at +0 can never become -0 under round-to-nearest, and x + (±0) == x for
 // every x other than -0, so skipping such a product leaves every bit of the
 // result unchanged (for finite operands). Blocking changes which elements
-// are live in registers, never the order of any one element's sum.
+// are live in registers, never the order of any one element's sum, and the
+// row passes go through the kernels of kernels.go, whose SIMD lanes are
+// independent elements.
 
 // matMul computes dst = a × b, cache-blocked on the k (inner) dimension.
 // Tiles are visited in ascending order and each tile applies its k's in
@@ -106,34 +108,21 @@ func matMul(dst, a, b *Matrix) {
 }
 
 // accRows adds coef[t]·(row rows[t] of b) into dr for t ascending. It
-// applies four rows per pass, so each dr element is loaded and stored once
-// per four products, and re-slices the rows to len(dr) so the inner loop
-// carries no bounds checks.
+// applies four rows per axpy4 pass, so each dr element is loaded and
+// stored once per four products.
 func accRows(dr []float64, b *Matrix, rows []int, coef []float64) {
 	coef = coef[:len(rows)]
 	cols := b.Cols
+	axpy4, axpy1 := kern.axpy4, kern.axpy1
 	t := 0
 	for ; t+4 <= len(rows); t += 4 {
-		a0, a1, a2, a3 := coef[t], coef[t+1], coef[t+2], coef[t+3]
-		b0 := b.Data[rows[t]*cols:][:len(dr)]
-		b1 := b.Data[rows[t+1]*cols:][:len(dr)]
-		b2 := b.Data[rows[t+2]*cols:][:len(dr)]
-		b3 := b.Data[rows[t+3]*cols:][:len(dr)]
-		for j := range dr {
-			d := dr[j]
-			d += a0 * b0[j]
-			d += a1 * b1[j]
-			d += a2 * b2[j]
-			d += a3 * b3[j]
-			dr[j] = d
-		}
+		axpy4(dr,
+			b.Data[rows[t]*cols:][:len(dr)], b.Data[rows[t+1]*cols:][:len(dr)],
+			b.Data[rows[t+2]*cols:][:len(dr)], b.Data[rows[t+3]*cols:][:len(dr)],
+			coef[t], coef[t+1], coef[t+2], coef[t+3])
 	}
 	for ; t < len(rows); t++ {
-		av := coef[t]
-		br := b.Data[rows[t]*cols:][:len(dr)]
-		for j := range dr {
-			dr[j] += av * br[j]
-		}
+		axpy1(dr, b.Data[rows[t]*cols:][:len(dr)], coef[t])
 	}
 }
 
@@ -202,12 +191,17 @@ func MatMulATB(dst, a, b *Matrix) {
 
 // matMulATB computes dst = aᵀ × b given b's row index; every dst element
 // sums over a's rows in ascending order. A sparse b (the masked output
-// layer's delta) is scattered row by row along its index lists. A dense-ish
-// b (ReLU-masked hidden deltas) runs the blocked form: per dst row k, the
-// rows r with a[r][k] ≠ 0 are gathered and applied four at a time over the
-// full dst row, whose zero products are exact no-ops. Both forms run in
-// every TPC-DS step; either one alone makes the step ~25% slower.
+// layer's delta) is scattered row by row: each nonzero a[r][k] times b's
+// row r, along that row's index list. A dense-ish b (ReLU-masked hidden
+// deltas) runs the blocked form: per dst row k, the rows r with
+// a[r][k] ≠ 0 are gathered and applied four at a time over the full dst
+// row, whose zero products are exact no-ops. Both forms run in every
+// TPC-DS step; either one alone makes the step ~25% slower.
 func matMulATB(dst, a, b *Matrix, bnz *rowIndex) {
+	// Index and value gathers run in chunks of matMulKTile so the buffers
+	// live on the stack.
+	var ix [matMulKTile]int
+	var as [matMulKTile]float64
 	if 4*bnz.nnz() <= len(b.Data) {
 		dst.Zero()
 		for r := 0; r < a.Rows; r++ {
@@ -216,19 +210,25 @@ func matMulATB(dst, a, b *Matrix, bnz *rowIndex) {
 				continue
 			}
 			br := b.Data[r*b.Cols : (r+1)*b.Cols]
-			for k, av := range a.Data[r*a.Cols : (r+1)*a.Cols] {
-				dr := dst.Data[k*dst.Cols : (k+1)*dst.Cols]
-				for _, j := range js {
-					dr[j] += av * br[j]
+			for kb := 0; kb < a.Cols; kb += matMulKTile {
+				n := 0
+				for k, av := range a.Data[r*a.Cols+kb : r*a.Cols+min(kb+matMulKTile, a.Cols)] {
+					ix[n], as[n] = kb+k, av
+					if av != 0 {
+						n++
+					}
+				}
+				for t, k := range ix[:n] {
+					av := as[t]
+					dr := dst.Data[k*dst.Cols : (k+1)*dst.Cols]
+					for _, j := range js {
+						dr[j] += float64(av * br[j])
+					}
 				}
 			}
 		}
 		return
 	}
-	// Rows are gathered in chunks of matMulKTile so the gather buffers
-	// live on the stack.
-	var rs [matMulKTile]int
-	var as [matMulKTile]float64
 	for k := 0; k < a.Cols; k++ {
 		dr := dst.Data[k*dst.Cols : (k+1)*dst.Cols]
 		for j := range dr {
@@ -238,12 +238,12 @@ func matMulATB(dst, a, b *Matrix, bnz *rowIndex) {
 			n := 0
 			for r := rb; r < min(rb+matMulKTile, a.Rows); r++ {
 				av := a.Data[r*a.Cols+k]
-				rs[n], as[n] = r, av
+				ix[n], as[n] = r, av
 				if av != 0 {
 					n++
 				}
 			}
-			accRows(dr, b, rs[:n], as[:n])
+			accRows(dr, b, ix[:n], as[:n])
 		}
 	}
 }
@@ -277,10 +277,10 @@ func matMulABT(dst, a, b *Matrix, anz *rowIndex) {
 			var s0, s1, s2, s3 float64
 			for _, j := range js {
 				av := ar[j]
-				s0 += av * b0[j]
-				s1 += av * b1[j]
-				s2 += av * b2[j]
-				s3 += av * b3[j]
+				s0 += float64(av * b0[j])
+				s1 += float64(av * b1[j])
+				s2 += float64(av * b2[j])
+				s3 += float64(av * b3[j])
 			}
 			dr[k], dr[k+1], dr[k+2], dr[k+3] = s0, s1, s2, s3
 		}
@@ -288,7 +288,7 @@ func matMulABT(dst, a, b *Matrix, anz *rowIndex) {
 			br := b.Data[k*b.Cols:][:len(ar)]
 			s := 0.0
 			for _, j := range js {
-				s += ar[j] * br[j]
+				s += float64(ar[j] * br[j])
 			}
 			dr[k] = s
 		}
@@ -300,6 +300,7 @@ func matMulABT(dst, a, b *Matrix, anz *rowIndex) {
 func (m *Matrix) XavierInit(fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * limit
+		u := float64(rng.Float64()) // the inlined Float64 fuses otherwise
+		m.Data[i] = (float64(u*2) - 1) * limit
 	}
 }

@@ -40,6 +40,9 @@ type denseScratch struct {
 	preAct, out   *Matrix
 	delta, gradIn *Matrix
 	deltaNZ       rowIndex
+	// nonzero-input gather of forwardMasked
+	ks []int
+	as []float64
 }
 
 // NewDense builds a layer with Xavier-initialized weights.
@@ -58,15 +61,7 @@ func NewDense(inDim, outDim int, act Activation, rng *rand.Rand) *Dense {
 // Forward computes the layer output for a batch, caching activations for
 // Backward.
 func (d *Dense) Forward(in *Matrix) *Matrix {
-	if d.scratch == nil {
-		d.scratch = make(map[int]*denseScratch)
-	}
-	sc := d.scratch[in.Rows]
-	if sc == nil {
-		sc = &denseScratch{preAct: NewMatrix(in.Rows, d.W.Cols), out: NewMatrix(in.Rows, d.W.Cols)}
-		d.scratch[in.Rows] = sc
-	}
-	d.in, d.preAct, d.out = in, sc.preAct, sc.out
+	d.bind(in)
 	matMul(d.preAct, in, d.W)
 	// Fused bias + activation: one pass over each row adds the bias (after
 	// the matmul accumulation, preserving the summation order) and writes
@@ -92,6 +87,58 @@ func (d *Dense) Forward(in *Matrix) *Matrix {
 				row[j] = v
 				outRow[j] = v
 			}
+		}
+	}
+	return d.out
+}
+
+// bind points the layer's forward state at in and at the scratch buffers
+// of in's batch size.
+func (d *Dense) bind(in *Matrix) *denseScratch {
+	if d.scratch == nil {
+		d.scratch = make(map[int]*denseScratch)
+	}
+	sc := d.scratch[in.Rows]
+	if sc == nil {
+		sc = &denseScratch{preAct: NewMatrix(in.Rows, d.W.Cols), out: NewMatrix(in.Rows, d.W.Cols)}
+		d.scratch[in.Rows] = sc
+	}
+	d.in, d.preAct, d.out = in, sc.preAct, sc.out
+	return sc
+}
+
+// forwardMasked is Forward for a Linear layer that computes only the
+// outputs where mask is nonzero; the others keep stale values. Each one
+// sums in[i][k]·W[k][j] over the row's nonzero k in ascending order from
+// +0 and then adds the bias, exactly as matMul and Forward do, so the
+// computed outputs are bitwise the full forward's.
+func (d *Dense) forwardMasked(in, mask *Matrix) *Matrix {
+	sc := d.bind(in)
+	if len(sc.ks) != in.Cols {
+		sc.ks = make([]int, in.Cols)
+		sc.as = make([]float64, in.Cols)
+	}
+	cols := d.W.Cols
+	for i := 0; i < in.Rows; i++ {
+		n := 0
+		for k, av := range in.Row(i) {
+			sc.ks[n], sc.as[n] = k, av
+			if av != 0 {
+				n++
+			}
+		}
+		ks, as := sc.ks[:n], sc.as[:n]
+		for j, mv := range mask.Data[i*cols : (i+1)*cols] {
+			if mv == 0 {
+				continue
+			}
+			s := 0.0
+			for t, k := range ks {
+				s += float64(as[t] * d.W.Data[k*cols+j])
+			}
+			s += d.B.Data[j]
+			d.preAct.Data[i*cols+j] = s
+			d.out.Data[i*cols+j] = s
 		}
 	}
 	return d.out
@@ -249,10 +296,26 @@ func (n *Network) Backward(gradOut *Matrix) {
 // optional per-sample-per-output mask (nil = all outputs count). Masked MSE
 // is what DQN needs: only the taken action's Q-output receives a gradient.
 // It returns the masked mean squared error before the update.
+//
+// With a mask and a Linear output layer, the output layer computes only the
+// masked outputs (one of |A| per row for DQN): the loss and the backward
+// pass read no other.
 func (n *Network) TrainBatch(opt Optimizer, in, target, mask *Matrix) float64 {
-	out := n.Forward(in)
-	if out.Rows != target.Rows || out.Cols != target.Cols {
-		panic(fmt.Sprintf("nn: target shape (%dx%d) != output (%dx%d)", target.Rows, target.Cols, out.Rows, out.Cols))
+	if target.Rows != in.Rows || target.Cols != n.OutDim() {
+		panic(fmt.Sprintf("nn: target shape (%dx%d) != output (%dx%d)", target.Rows, target.Cols, in.Rows, n.OutDim()))
+	}
+	var out *Matrix
+	if last := n.Layers[len(n.Layers)-1]; mask != nil && last.Act == Linear {
+		if mask.Rows != target.Rows || mask.Cols != target.Cols {
+			panic(fmt.Sprintf("nn: mask shape (%dx%d) != output (%dx%d)", mask.Rows, mask.Cols, target.Rows, target.Cols))
+		}
+		h := in
+		for _, l := range n.Layers[:len(n.Layers)-1] {
+			h = l.Forward(h)
+		}
+		out = last.forwardMasked(h, mask)
+	} else {
+		out = n.Forward(in)
 	}
 	if n.trainGrad == nil || n.trainGrad.Rows != out.Rows || n.trainGrad.Cols != out.Cols {
 		n.trainGrad = NewMatrix(out.Rows, out.Cols)
@@ -270,7 +333,7 @@ func (n *Network) TrainBatch(opt Optimizer, in, target, mask *Matrix) float64 {
 			continue
 		}
 		diff := out.Data[i] - target.Data[i]
-		loss += diff * diff
+		loss += float64(diff * diff)
 		count++
 		grad.Data[i] = 2 * diff
 	}
@@ -305,15 +368,10 @@ func (n *Network) SoftUpdateFrom(src *Network, tau float64) {
 		panic("nn: SoftUpdateFrom layer count mismatch")
 	}
 	keep := 1 - tau
-	blend := func(dst, src []float64) {
-		src = src[:len(dst)]
-		for i, v := range dst {
-			dst[i] = keep*v + tau*src[i]
-		}
-	}
+	blend := kern.blend
 	for li, l := range n.Layers {
-		blend(l.W.Data, src.Layers[li].W.Data)
-		blend(l.B.Data, src.Layers[li].B.Data)
+		blend(l.W.Data, src.Layers[li].W.Data[:len(l.W.Data)], keep, tau)
+		blend(l.B.Data, src.Layers[li].B.Data[:len(l.B.Data)], keep, tau)
 	}
 }
 
@@ -378,12 +436,12 @@ func (n *Network) L2Distance(o *Network) float64 {
 		ol := o.Layers[li]
 		for i := range l.W.Data {
 			d := l.W.Data[i] - ol.W.Data[i]
-			sum += d * d
+			sum += float64(d * d)
 			count++
 		}
 		for i := range l.B.Data {
 			d := l.B.Data[i] - ol.B.Data[i]
-			sum += d * d
+			sum += float64(d * d)
 			count++
 		}
 	}

@@ -118,7 +118,7 @@ func naiveMul(rows, cols, inner int, at, bt func(i, k int) float64) *Matrix {
 		for j := 0; j < cols; j++ {
 			s := 0.0
 			for k := 0; k < inner; k++ {
-				s += at(i, k) * bt(k, j)
+				s += float64(at(i, k) * bt(k, j)) // no fused multiply-add
 			}
 			m.Set(i, j, s)
 		}
@@ -146,71 +146,77 @@ var kernelInner = []int{1, 3, 4, 5, 63, 64, 65, 211}
 func TestMatMulVariantsAgree(t *testing.T) {
 	// MatMul, MatMulATB and MatMulABT must equal the naive single-
 	// accumulator ascending-k loop exactly (==, not within a tolerance):
-	// the kernels may only skip zero products, never reorder a sum.
-	rng := rand.New(rand.NewSource(1))
-	for _, k := range kernelInner {
-		for _, rows := range []int{1, 7, 66} {
-			for _, cols := range []int{1, 5, 64} {
-				for ki, kinds := range kernelKinds {
-					name := fmt.Sprintf("k=%d rows=%d cols=%d kinds=%d", k, rows, cols, ki)
+	// the kernels may only skip zero products, never reorder a sum. Every
+	// kernel set the host has must pass.
+	forEachKernelSet(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for _, k := range kernelInner {
+			for _, rows := range []int{1, 7, 66} {
+				for _, cols := range []int{1, 5, 64} {
+					for ki, kinds := range kernelKinds {
+						name := fmt.Sprintf("k=%d rows=%d cols=%d kinds=%d", k, rows, cols, ki)
 
-					a := patternMat(rows, k, kinds, rng)
-					w := patternMat(k, cols, nil, rng)
-					got := NewMatrix(rows, cols)
-					MatMul(got, a, w)
-					requireBitwise(t, "MatMul "+name, got, naiveMul(rows, cols, k, a.At, w.At))
+						a := patternMat(rows, k, kinds, rng)
+						w := patternMat(k, cols, nil, rng)
+						got := NewMatrix(rows, cols)
+						MatMul(got, a, w)
+						requireBitwise(t, "MatMul "+name, got, naiveMul(rows, cols, k, a.At, w.At))
 
-					// aᵀ·b sums over the batch rows; both operands carry
-					// the pattern, as activations and deltas do.
-					d := patternMat(rows, cols, kinds, rng)
-					gotATB := NewMatrix(k, cols)
-					MatMulATB(gotATB, a, d)
-					wantATB := naiveMul(k, cols, rows, func(i, r int) float64 { return a.At(r, i) }, d.At)
-					requireBitwise(t, "MatMulATB "+name, gotATB, wantATB)
+						// aᵀ·b sums over the batch rows; both operands carry
+						// the pattern, as activations and deltas do.
+						d := patternMat(rows, cols, kinds, rng)
+						gotATB := NewMatrix(k, cols)
+						MatMulATB(gotATB, a, d)
+						wantATB := naiveMul(k, cols, rows, func(i, r int) float64 { return a.At(r, i) }, d.At)
+						requireBitwise(t, "MatMulATB "+name, gotATB, wantATB)
 
-					// a·bᵀ with a patterned delta and dense weights.
-					wt := patternMat(cols, k, nil, rng)
-					gotABT := NewMatrix(rows, cols)
-					MatMulABT(gotABT, a, wt)
-					wantABT := naiveMul(rows, cols, k, a.At, func(kk, j int) float64 { return wt.At(j, kk) })
-					requireBitwise(t, "MatMulABT "+name, gotABT, wantABT)
+						// a·bᵀ with a patterned delta and dense weights.
+						wt := patternMat(cols, k, nil, rng)
+						gotABT := NewMatrix(rows, cols)
+						MatMulABT(gotABT, a, wt)
+						wantABT := naiveMul(rows, cols, k, a.At, func(kk, j int) float64 { return wt.At(j, kk) })
+						requireBitwise(t, "MatMulABT "+name, gotABT, wantABT)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestDenseBackwardMatchesNaive(t *testing.T) {
 	// Dense.Backward's weight, bias and input gradients must equal the
-	// naive products of the activation-masked delta exactly.
-	rng := rand.New(rand.NewSource(2))
-	for _, act := range []Activation{ReLU, Linear} {
-		for _, k := range kernelInner {
-			for ki, kinds := range kernelKinds {
-				const rows, cols = 33, 19
-				name := fmt.Sprintf("act=%d k=%d kinds=%d", act, k, ki)
-				d := NewDense(k, cols, act, rng)
-				in := patternMat(rows, k, kinds, rng)
-				d.Forward(in)
-				gradOut := patternMat(rows, cols, kinds, rng)
-				gradIn := d.Backward(gradOut)
+	// naive products of the activation-masked delta exactly, on every
+	// kernel set.
+	forEachKernelSet(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		for _, act := range []Activation{ReLU, Linear} {
+			for _, k := range kernelInner {
+				for ki, kinds := range kernelKinds {
+					const rows, cols = 33, 19
+					name := fmt.Sprintf("act=%d k=%d kinds=%d", act, k, ki)
+					d := NewDense(k, cols, act, rng)
+					in := patternMat(rows, k, kinds, rng)
+					d.Forward(in)
+					gradOut := patternMat(rows, cols, kinds, rng)
+					gradIn := d.Backward(gradOut)
 
-				delta := gradOut.Clone()
-				for i := range delta.Data {
-					if act == ReLU && d.preAct.Data[i] <= 0 {
-						delta.Data[i] = 0
+					delta := gradOut.Clone()
+					for i := range delta.Data {
+						if act == ReLU && d.preAct.Data[i] <= 0 {
+							delta.Data[i] = 0
+						}
 					}
+					wantW := naiveMul(k, cols, rows, func(i, r int) float64 { return in.At(r, i) }, delta.At)
+					requireBitwise(t, "gradW "+name, d.gradW, wantW)
+					ones := func(int, int) float64 { return 1 }
+					wantB := naiveMul(1, cols, rows, ones, delta.At)
+					requireBitwise(t, "gradB "+name, d.gradB, wantB)
+					wantIn := naiveMul(rows, k, cols, delta.At, func(j, kk int) float64 { return d.W.At(kk, j) })
+					requireBitwise(t, "gradIn "+name, gradIn, wantIn)
 				}
-				wantW := naiveMul(k, cols, rows, func(i, r int) float64 { return in.At(r, i) }, delta.At)
-				requireBitwise(t, "gradW "+name, d.gradW, wantW)
-				ones := func(int, int) float64 { return 1 }
-				wantB := naiveMul(1, cols, rows, ones, delta.At)
-				requireBitwise(t, "gradB "+name, d.gradB, wantB)
-				wantIn := naiveMul(rows, k, cols, delta.At, func(j, kk int) float64 { return d.W.At(kk, j) })
-				requireBitwise(t, "gradIn "+name, gradIn, wantIn)
 			}
 		}
-	}
+	})
 }
 
 func TestMatMulShapePanics(t *testing.T) {

@@ -20,10 +20,10 @@ type SGD struct {
 func (o *SGD) Step(n *Network) {
 	for _, l := range n.Layers {
 		for i := range l.W.Data {
-			l.W.Data[i] -= o.LR * l.gradW.Data[i]
+			l.W.Data[i] -= float64(o.LR * l.gradW.Data[i])
 		}
 		for i := range l.B.Data {
-			l.B.Data[i] -= o.LR * l.gradB.Data[i]
+			l.B.Data[i] -= float64(o.LR * l.gradB.Data[i])
 		}
 	}
 }
@@ -36,11 +36,12 @@ type Adam struct {
 	Beta2   float64
 	Epsilon float64
 
-	t  int
-	mW []*Matrix
-	vW []*Matrix
-	mB []*Matrix
-	vB []*Matrix
+	t    int
+	coef adamCoef
+	mW   []*Matrix
+	vW   []*Matrix
+	mB   []*Matrix
+	vB   []*Matrix
 }
 
 // NewAdam returns Adam with the standard β/ε defaults.
@@ -61,26 +62,23 @@ func (o *Adam) Step(n *Network) {
 		}
 	}
 	o.t++
-	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	b1, b2 := o.Beta1, o.Beta2
-	ob1, ob2 := 1-b1, 1-b2
-	lr, eps := o.LR, o.Epsilon
-	update := func(param, grad, m, v []float64) {
-		grad, m, v = grad[:len(param)], m[:len(param)], v[:len(param)]
-		for i := range param {
-			g := grad[i]
-			mi := b1*m[i] + ob1*g
-			vi := b2*v[i] + ob2*g*g
-			m[i], v[i] = mi, vi
-			mHat := mi / c1
-			vHat := vi / c2
-			param[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
-		}
-	}
+	// The constants live in o: through the kernel's func value a local
+	// would escape and cost an allocation per step.
+	o.coef = o.coefAt(o.t)
+	adam := kern.adam
 	for li, l := range n.Layers {
-		update(l.W.Data, l.gradW.Data, o.mW[li].Data, o.vW[li].Data)
-		update(l.B.Data, l.gradB.Data, o.mB[li].Data, o.vB[li].Data)
+		w, b := len(l.W.Data), len(l.B.Data)
+		adam(l.W.Data, l.gradW.Data[:w], o.mW[li].Data[:w], o.vW[li].Data[:w], &o.coef)
+		adam(l.B.Data, l.gradB.Data[:b], o.mB[li].Data[:b], o.vB[li].Data[:b], &o.coef)
+	}
+}
+
+// coefAt returns the element-update constants of step t (1-based).
+func (o *Adam) coefAt(t int) adamCoef {
+	return adamCoef{
+		b1: o.Beta1, b2: o.Beta2, ob1: 1 - o.Beta1, ob2: 1 - o.Beta2,
+		c1: 1 - math.Pow(o.Beta1, float64(t)), c2: 1 - math.Pow(o.Beta2, float64(t)),
+		lr: o.LR, eps: o.Epsilon,
 	}
 }
 

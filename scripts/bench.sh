@@ -35,8 +35,9 @@ go test -run '^$' -bench 'DeployRevisit|RunBatch|EngineDeploy|EngineRunQuery' \
 # Relation substrate: hashing, scattering, column lookup.
 go test -run '^$' -bench 'HashAssign|SplitByHash|SplitRoundRobin|ColLookup' \
   -benchmem -benchtime "$benchtime" ./internal/relation/ | tee -a "$tmp"
-# NN kernels: tiled matmul, fused forward, pooled train/predict batches.
-go test -run '^$' -bench 'MatMul|Forward|PredictBatch|NetworkTrainBatch' \
+# NN kernels: tiled matmul, fused forward, pooled train/predict batches,
+# and the Adam and soft-update streams per kernel set (portable, avx2).
+go test -run '^$' -bench 'MatMul|Forward|PredictBatch|NetworkTrainBatch|AdamStep|SoftUpdate' \
   -benchmem -benchtime "$benchtime" ./internal/nn/ | tee -a "$tmp"
 # DQN step: TrainStep B/op is the pooled-scratch acceptance number;
 # TrainStepMultiHeadTPCDSShape is one update at the TPC-DS repro shape
