@@ -201,33 +201,14 @@ func NewSession(b *Benchmark, hw HardwareProfile, seed int64) (*Session, error) 
 // OfflineCost returns the offline training/inference cost function:
 // network-centric estimates over the deployment's metadata, memoized behind
 // a bounded thread-safe cache (offline episodes re-evaluate identical
-// (partitioning, mix) costs thousands of times, and the parallel committee
-// shares this function across expert trainers).
+// (partitioning, mix) costs thousands of times).
 func (s *Session) OfflineCost() func(*Partitioning, FreqVector) float64 {
-	return s.offlineCache().Cost
-}
-
-func (s *Session) offlineCache() *env.CostCache {
 	if s.costCache == nil {
 		s.costCache = env.NewCostCache(func(st *Partitioning, freq FreqVector) float64 {
 			return s.Cost.WorkloadCost(st, s.Bench.Workload, freq)
 		}, 0)
 	}
-	return s.costCache
-}
-
-// SetPrefetchWorkers pipelines TrainOffline with n speculative cost-prefetch
-// goroutines warming the offline cost cache (0 restores serial training).
-// The trained advisor is bit-identical at every setting; the knob trades
-// idle cores for wall-clock.
-func (s *Session) SetPrefetchWorkers(n int) {
-	if n <= 0 {
-		s.Advisor.Prefetch = nil
-		return
-	}
-	cc := s.offlineCache()
-	cc.SetConcurrentBase(true) // the cost model is concurrency-safe
-	s.Advisor.Prefetch = &core.PrefetchConfig{Cache: cc, Workers: n}
+	return s.costCache.Cost
 }
 
 // TrainOffline bootstraps the advisor on the cost model (Algorithm 1).

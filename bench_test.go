@@ -216,7 +216,7 @@ func benchRunBatch(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunBatchQueries(qs, workers)
+		e.RunBatchQueriesAbort(qs, workers, nil, nil)
 	}
 }
 

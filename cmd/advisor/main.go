@@ -45,7 +45,6 @@ import (
 	"partadvisor/internal/benchmarks"
 	"partadvisor/internal/core"
 	"partadvisor/internal/costmodel"
-	"partadvisor/internal/env"
 	"partadvisor/internal/exec"
 	"partadvisor/internal/guard"
 	"partadvisor/internal/hardware"
@@ -71,7 +70,6 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 10, "offline episodes between checkpoints")
 		resume     = flag.Bool("resume", false, "resume training from the -checkpoint file")
 		haltAfter  = flag.Int("halt-after", 0, "stop after N total training episodes with exit code 3 (testing)")
-		prefetch   = flag.Int("prefetch", 0, "speculative cost-prefetch workers for offline training (0 = serial; the trajectory is identical either way)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 
@@ -125,16 +123,6 @@ func main() {
 	adv, err := core.New(sp, b.Workload, hp, *seed)
 	if err != nil {
 		fail("%v", err)
-	}
-	if *prefetch > 0 {
-		// Pipeline offline training: the cost model is safe for concurrent
-		// calls, so prefetch workers can warm the cache with speculative
-		// designs while the decision loop trains the network. Training is
-		// bit-identical to -prefetch 0.
-		cache := env.NewCostCache(offCost, 0)
-		cache.SetConcurrentBase(true)
-		offCost = cache.Cost
-		adv.Prefetch = &core.PrefetchConfig{Cache: cache, Workers: *prefetch}
 	}
 	if *ckptPath != "" {
 		adv.Ckpt = &core.CheckpointConfig{

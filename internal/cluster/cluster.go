@@ -502,10 +502,10 @@ func modalValue(col []int64) (mode int64, ok bool) {
 // MaterializeDesign returns the shard set (or replica) a table would have
 // under design d WITHOUT deploying it: the deployed design, shards, replica
 // and layout revision are untouched, and no bytes-moved accounting runs.
-// Results come from the same LRU shard cache Deploy uses — a design the
-// training loop later commits to is a pointer swap — and freshly built
-// shard sets are registered there, so speculative (what-if) evaluation and
-// deployment share one materialization per (table, design).
+// Results come from the same LRU shard cache Deploy uses — a design later
+// deployed is a pointer swap — and freshly built shard sets are registered
+// there, so what-if evaluation and deployment share one materialization per
+// (table, design).
 //
 // Replicated designs return (nil, base); partitioned designs return
 // (shards, nil). The returned relations are shared immutable snapshots and

@@ -111,7 +111,7 @@ type OnlineCost struct {
 	LazyRepartition bool
 	UseTimeouts     bool
 	// Parallel fans each state's cache misses across the engine's worker
-	// pool (Engine.RunBatchQueries), whose workers read an immutable
+	// pool (Engine.RunBatchQueriesAbort), whose workers read an immutable
 	// layout snapshot lock-free with per-worker scratch arenas. Purely a
 	// wall-clock knob: the batch contract guarantees results identical to
 	// the single-worker path.

@@ -2,7 +2,9 @@ package env
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"partadvisor/internal/partition"
 	"partadvisor/internal/schema"
@@ -125,4 +127,86 @@ func TestCostCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCostCacheOneBaseCallPerKeyUnderContention pins the contract under
+// contention: goroutines asking for a key whose fill is already running must
+// wait for it and read the stored result — exactly one base call, every
+// joiner counted as a hit. Run with -race.
+func TestCostCacheOneBaseCallPerKeyUnderContention(t *testing.T) {
+	sp := cacheSpace(t)
+	st := sp.InitialState()
+	f := workload.FreqVector{1}
+
+	var calls atomic.Int32
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	base := func(*partition.State, workload.FreqVector) float64 {
+		calls.Add(1)
+		close(entered)
+		<-gate
+		return 42
+	}
+	cc := NewCostCache(base, 16)
+
+	const joiners = 8
+	results := make([]float64, joiners+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); results[0] = cc.Cost(st, f) }()
+
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("base call never started")
+	}
+	for i := 1; i <= joiners; i++ {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); results[i] = cc.Cost(st, f) }(i)
+	}
+	// Give the joiners time to block behind the fill before releasing it;
+	// a joiner that instead started its own base call would bump the
+	// counter regardless of timing.
+	time.Sleep(10 * time.Millisecond)
+	close(gate)
+	wg.Wait()
+
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("base called %d times for one key under contention", got)
+	}
+	for i, v := range results {
+		if v != 42 {
+			t.Fatalf("goroutine %d got %v, want 42", i, v)
+		}
+	}
+	hits, misses := cc.Stats()
+	if misses != 1 || hits != joiners {
+		t.Fatalf("stats = (%d hits, %d misses), want (%d, 1)", hits, misses, joiners)
+	}
+}
+
+// TestCostCacheBoundUnderContention hammers the cache with distinct keys
+// from many goroutines and checks the two-generation bound holds
+// throughout. Run with -race.
+func TestCostCacheBoundUnderContention(t *testing.T) {
+	sp := cacheSpace(t)
+	st := sp.InitialState()
+	base := func(_ *partition.State, freq workload.FreqVector) float64 { return freq[0] }
+	const bound = 8
+	cc := NewCostCache(base, bound)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				cc.Cost(st, workload.FreqVector{float64(g*1000 + i)})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := cc.Len(); n > 2*bound {
+		t.Fatalf("cache holds %d entries, bound is two generations of %d", n, bound)
+	}
 }

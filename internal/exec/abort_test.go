@@ -20,7 +20,7 @@ func TestRunBatchAbortThresholdDeterministic(t *testing.T) {
 
 	// Pick a threshold that cuts somewhere in the middle of the batch.
 	probe := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
-	full := probe.RunBatchQueries(toBatch(gs, 0), 1)
+	full := probe.RunBatchQueriesAbort(toBatch(gs, 0), 1, nil, nil)
 	threshold := full.Seconds / 3
 	if threshold <= full.Reports[0].Seconds {
 		t.Fatalf("threshold %v too small to pass the first query", threshold)
@@ -163,13 +163,13 @@ func TestRunBatchAbortPreSet(t *testing.T) {
 	}
 }
 
-// TestRunBatchNilAbortUnchanged: the nil-abort path is the old
-// RunBatchQueries — every position charged, Completed == len(qs).
+// TestRunBatchNilAbortUnchanged: with a nil abort and no onResult hook
+// every position is charged, Completed == len(qs).
 func TestRunBatchNilAbortUnchanged(t *testing.T) {
 	data := engData(50, 400, 1200, 1)
 	gs := batchGraphs(t)
-	seq := New(engSchema(), data, hardware.PostgresXLDisk(), Disk).RunBatchQueries(toBatch(gs, 0), 1)
-	par := New(engSchema(), data, hardware.PostgresXLDisk(), Disk).RunBatchQueries(toBatch(gs, 0), 0)
+	seq := New(engSchema(), data, hardware.PostgresXLDisk(), Disk).RunBatchQueriesAbort(toBatch(gs, 0), 1, nil, nil)
+	par := New(engSchema(), data, hardware.PostgresXLDisk(), Disk).RunBatchQueriesAbort(toBatch(gs, 0), 0, nil, nil)
 	if seq.Completed != len(gs) || par.Completed != len(gs) {
 		t.Fatalf("Completed = %d/%d, want %d", seq.Completed, par.Completed, len(gs))
 	}

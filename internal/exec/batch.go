@@ -60,7 +60,7 @@ type BatchReport struct {
 
 // RunBatch executes a set of queries against the current deployment with a
 // uniform time limit (0 = none), fanning them across a worker pool. See
-// RunBatchQueries for the execution and determinism contract.
+// RunBatchQueriesAbort for the execution and determinism contract.
 func (e *Engine) RunBatch(gs []*sqlparse.Graph, limit float64) BatchReport {
 	return e.RunBatchCtx(context.Background(), gs, limit)
 }
@@ -76,16 +76,10 @@ func (e *Engine) RunBatchCtx(ctx context.Context, gs []*sqlparse.Graph, limit fl
 	return e.RunBatchQueriesAbortCtx(ctx, qs, 0, nil, nil)
 }
 
-// RunBatchQueries executes a batch of queries concurrently (workers <= 0
-// uses GOMAXPROCS; 1 runs inline) and returns per-position reports plus
-// position-ordered totals. It is RunBatchQueriesAbort without an abort
-// signal: every position is charged.
-func (e *Engine) RunBatchQueries(qs []BatchQuery, workers int) BatchReport {
-	return e.RunBatchQueriesAbort(qs, workers, nil, nil)
-}
-
-// RunBatchQueriesAbort executes a batch of queries concurrently with an
-// optional early-abort hook.
+// RunBatchQueriesAbort executes a batch of queries concurrently (workers
+// <= 0 uses GOMAXPROCS; 1 runs inline) with an optional early-abort hook,
+// and returns per-position reports plus position-ordered totals. With a nil
+// abort and nil onResult every position is charged.
 //
 // Execution contract: the batch takes an immutable snapshot of the
 // deployed layout (shard sets, designs, optimizer catalog, hardware) once

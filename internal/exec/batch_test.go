@@ -51,7 +51,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, 0} {
-		rep := batEng.RunBatchQueries(toBatch(gs, 0), workers)
+		rep := batEng.RunBatchQueriesAbort(toBatch(gs, 0), workers, nil, nil)
 		for i := range gs {
 			if rep.Reports[i].Seconds != seqSeconds[i] {
 				t.Fatalf("workers=%d query %d: batch %v != sequential %v",
@@ -102,7 +102,7 @@ func TestRunBatchDeterministicUnderFaults(t *testing.T) {
 	run := func(workers int) outcome {
 		e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 		e.SetFaults(faults.MustNew(cfg))
-		rep := e.RunBatchQueries(toBatch(gs, 0), workers)
+		rep := e.RunBatchQueriesAbort(toBatch(gs, 0), workers, nil, nil)
 		errs := make([]string, len(rep.Errs))
 		for i, err := range rep.Errs {
 			if err != nil {
@@ -224,7 +224,7 @@ func TestRunBatchConcurrentWithEngineOps(t *testing.T) {
 			for iter := 0; iter < 5; iter++ {
 				switch w % 3 {
 				case 0:
-					e.RunBatchQueries(toBatch(gs, 0), 0)
+					e.RunBatchQueriesAbort(toBatch(gs, 0), 0, nil, nil)
 				case 1:
 					e.Deploy(st, nil)
 					e.Analyze()

@@ -139,7 +139,7 @@ func TestShardHeatWorkerSweepBitIdentical(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 0} {
 		e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
-		e.RunBatchQueries(toBatch(gs, 0), workers)
+		e.RunBatchQueriesAbort(toBatch(gs, 0), workers, nil, nil)
 		if got := e.ShardHeat().Digest(); got != want {
 			t.Fatalf("workers=%d: heat digest %x != sequential %x", workers, got, want)
 		}
@@ -183,7 +183,7 @@ func TestShardHeatAbortChargedPrefixOnly(t *testing.T) {
 
 	// The aborted prefix heats strictly less than the full batch.
 	full := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
-	full.RunBatchQueries(toBatch(gs, 0), 0)
+	full.RunBatchQueriesAbort(toBatch(gs, 0), 0, nil, nil)
 	var fullTotal, cutTotal int64
 	e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 	abort := &BatchAbort{}

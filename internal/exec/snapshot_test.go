@@ -36,7 +36,7 @@ func TestBatchBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) (BatchReport, []string) {
 		e := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 		e.SetFaults(faults.MustNew(snapshotFaultCfg()))
-		rep := e.RunBatchQueries(toBatch(gs, 0), workers)
+		rep := e.RunBatchQueriesAbort(toBatch(gs, 0), workers, nil, nil)
 		errs := make([]string, len(rep.Errs))
 		for i, err := range rep.Errs {
 			if err != nil {
@@ -130,7 +130,7 @@ func TestScratchRecycledAcrossBatches(t *testing.T) {
 	gs := batchGraphs(t)
 	workers := 4
 
-	base := e.RunBatchQueries(toBatch(gs, 0), workers)
+	base := e.RunBatchQueriesAbort(toBatch(gs, 0), workers, nil, nil)
 	e.mu.Lock()
 	if len(e.scratches) != workers {
 		t.Fatalf("scratch pool holds %d after a %d-worker batch", len(e.scratches), workers)
@@ -143,7 +143,7 @@ func TestScratchRecycledAcrossBatches(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		e.ResetClock()
-		rep := e.RunBatchQueries(toBatch(gs, 0), workers)
+		rep := e.RunBatchQueriesAbort(toBatch(gs, 0), workers, nil, nil)
 		if rep.Seconds != base.Seconds || rep.Completed != base.Completed {
 			t.Fatalf("round %d totals drift: %v vs %v", round, rep.Seconds, base.Seconds)
 		}
@@ -169,7 +169,7 @@ func TestScratchRecycledAcrossBatches(t *testing.T) {
 	// alone. The pool must stay under workers x that high-water mark
 	// (round-count-independent); anything past it is a cross-round leak.
 	solo := New(engSchema(), engData(50, 400, 1200, 1), hardware.PostgresXLDisk(), Disk)
-	solo.RunBatchQueries(toBatch(gs, 0), 1)
+	solo.RunBatchQueriesAbort(toBatch(gs, 0), 1, nil, nil)
 	solo.mu.Lock()
 	soloFootprint := solo.scratches[0].ar.Footprint()
 	solo.mu.Unlock()

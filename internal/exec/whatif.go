@@ -11,17 +11,17 @@ import (
 // EvalDesignSnapshot executes a batch of queries against a HYPOTHETICAL
 // partitioning without deploying it: the candidate design's shard sets are
 // materialized through the cluster's LRU shard cache (cluster.
-// MaterializeDesign — a design the training loop later commits to is a
-// pointer swap) and overlaid on an immutable copy of the current layout
-// snapshot. The deployed designs, shard pointers, layout revision,
-// accounting counters, simulated clock and fault draws are all untouched —
-// concurrent Deploys, batches and monitoring observe nothing.
+// MaterializeDesign — a design later deployed is a pointer swap) and
+// overlaid on an immutable copy of the current layout snapshot. The
+// deployed designs, shard pointers, layout revision, accounting counters,
+// simulated clock and fault draws are all untouched — concurrent Deploys,
+// batches and monitoring observe nothing.
 //
 // The engine mutex is held only to build the overlay and to check worker
 // scratches in/out of the pool; the queries themselves run lock-free
-// against the frozen overlay with per-worker scratch arenas, so multiple
-// speculative evaluations (cost-cache prefetch workers) proceed in
-// parallel with each other and with deployed-state operations.
+// against the frozen overlay with per-worker scratch arenas, so concurrent
+// what-if evaluations proceed in parallel with each other and with
+// deployed-state operations.
 //
 // Determinism contract: the evaluation is a pure function of (layout
 // revision, optimizer catalog, candidate design, queries) — faults are not

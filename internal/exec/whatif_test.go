@@ -39,7 +39,7 @@ func TestEvalDesignSnapshotMatchesDeployedMeasurement(t *testing.T) {
 
 		deployed := New(engSchema(), data, hardware.PostgresXLDisk(), Disk)
 		deployed.Deploy(st, nil)
-		want := deployed.RunBatchQueries(toBatch(gs, 0), 1)
+		want := deployed.RunBatchQueriesAbort(toBatch(gs, 0), 1, nil, nil)
 
 		if got.Seconds != want.Seconds || got.Aborts != want.Aborts {
 			t.Fatalf("design %d (%v): what-if totals (%v, %d) != deployed (%v, %d)",
@@ -117,8 +117,8 @@ func TestEvalDesignSnapshotPerturbsNothing(t *testing.T) {
 			t.Fatalf("step %d: deploy seconds diverge %v vs %v", step, secC, secP)
 		}
 		speculate()
-		repC := control.RunBatchQueries(toBatch(gs, 0), 2)
-		repP := probed.RunBatchQueries(toBatch(gs, 0), 2)
+		repC := control.RunBatchQueriesAbort(toBatch(gs, 0), 2, nil, nil)
+		repP := probed.RunBatchQueriesAbort(toBatch(gs, 0), 2, nil, nil)
 		if repC.Seconds != repP.Seconds || repC.DegradedSeconds != repP.DegradedSeconds {
 			t.Fatalf("step %d: deployed batch diverges (%v, %v) vs (%v, %v)",
 				step, repP.Seconds, repP.DegradedSeconds, repC.Seconds, repC.DegradedSeconds)
@@ -142,8 +142,8 @@ func TestEvalDesignSnapshotPerturbsNothing(t *testing.T) {
 	}
 }
 
-// TestEvalDesignSnapshotConcurrent exercises the prefetch-worker usage
-// pattern under the race detector: many goroutines evaluate different
+// TestEvalDesignSnapshotConcurrent exercises concurrent what-if evaluation
+// under the race detector: many goroutines evaluate different
 // candidate designs at once while results must stay bit-identical to the
 // quiet single-goroutine evaluations.
 func TestEvalDesignSnapshotConcurrent(t *testing.T) {

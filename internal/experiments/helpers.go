@@ -31,11 +31,6 @@ type Config struct {
 	Mixes int
 	// Seed makes every experiment reproducible.
 	Seed int64
-	// PrefetchWorkers pipelines offline training with speculative
-	// cost-prefetch goroutines (0 = serial). Results are bit-identical at
-	// every setting — the knob trades cores for wall-clock only — so
-	// experiments stay reproducible regardless of the host.
-	PrefetchWorkers int
 	// Stop, when set, is polled by RunAll between experiments: once true,
 	// the remaining experiments are skipped and the results so far are
 	// returned (graceful shutdown).
@@ -140,22 +135,13 @@ func (s *setup) evalWorkload(st *partition.State) float64 {
 	return total
 }
 
-// trainOfflineAdvisor builds and offline-trains a fresh advisor. With
-// cfg.PrefetchWorkers > 0 the training loop runs pipelined behind a
-// concurrent cost cache; the trained advisor is bit-identical to serial.
+// trainOfflineAdvisor builds and offline-trains a fresh advisor.
 func (s *setup) trainOfflineAdvisor(cfg Config, complexSchema bool, seed int64) (*core.Advisor, error) {
 	a, err := core.New(s.space, s.bench.Workload, cfg.HP(complexSchema), seed)
 	if err != nil {
 		return nil, err
 	}
-	cost := s.offlineCost()
-	if cfg.PrefetchWorkers > 0 {
-		cache := env.NewCostCache(cost, 0)
-		cache.SetConcurrentBase(true) // costmodel.Model is concurrency-safe
-		cost = cache.Cost
-		a.Prefetch = &core.PrefetchConfig{Cache: cache, Workers: cfg.PrefetchWorkers}
-	}
-	if err := a.TrainOffline(cost, nil); err != nil {
+	if err := a.TrainOffline(s.offlineCost(), nil); err != nil {
 		return nil, err
 	}
 	return a, nil

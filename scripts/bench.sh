@@ -44,8 +44,7 @@ go test -run '^$' -bench 'MatMul|Forward|PredictBatch|NetworkTrainBatch|AdamStep
 # (211 -> 128 -> 64 -> 195, batch 32) and must stay at 0 allocs/op.
 go test -run '^$' -bench 'TrainStep|ValuesBatch' \
   -benchmem -benchtime "$benchtime" ./internal/dqn/ | tee -a "$tmp"
-# Offline training: serial vs prefetched wall-clock and the prefetch-worker
-# saturation curve (workers=N sub-benches).
+# Offline training: one SSB run at the test profile behind the cost cache.
 go test -run '^$' -bench 'TrainOffline' \
   -benchmem -benchtime "$benchtime" ./internal/core/ | tee -a "$tmp"
 
